@@ -12,8 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
+echo "== benchmark build: perfbench compiles against the public API it calls"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test"
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 
 echo "== remote-ingress example (smoke)"
 cargo run --release --example gateway_remote

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut};
@@ -122,6 +122,9 @@ pub struct BaselineHost {
     config: BaselineConfig,
     stop: Arc<AtomicBool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Weak self-handle, so `await_call` (a `&self` trait method) can
+    /// execute queued work, which needs an `Arc<Self>`.
+    me: Weak<BaselineHost>,
 }
 
 impl std::fmt::Debug for BaselineHost {
@@ -145,7 +148,7 @@ impl BaselineHost {
         let nic = fabric.add_host();
         let kv = Arc::new(KvClient::connect(nic.clone(), kvs_host));
         let (queue_tx, queue_rx) = unbounded();
-        let host = Arc::new(BaselineHost {
+        let host = Arc::new_cyclic(|me| BaselineHost {
             host_id: nic.id(),
             nic,
             kv,
@@ -164,6 +167,7 @@ impl BaselineHost {
             config,
             stop: Arc::new(AtomicBool::new(false)),
             threads: Mutex::new(Vec::new()),
+            me: me.clone(),
         });
         {
             let h = Arc::clone(&host);
@@ -181,7 +185,6 @@ impl BaselineHost {
                 .expect("spawn worker");
             host.threads.lock().push(handle);
         }
-        host.register_self();
         host
     }
 
@@ -366,16 +369,7 @@ impl BaselineHost {
     }
 
     fn self_arc(&self) -> Option<Arc<BaselineHost>> {
-        BASELINE_REGISTRY
-            .lock()
-            .get(&self.host_id)
-            .and_then(std::sync::Weak::upgrade)
-    }
-
-    fn register_self(self: &Arc<Self>) {
-        BASELINE_REGISTRY
-            .lock()
-            .insert(self.host_id, Arc::downgrade(self));
+        self.me.upgrade()
     }
 
     fn shutdown(&self) {
@@ -385,7 +379,6 @@ impl BaselineHost {
             let _ = h.join();
         }
         self.pool.lock().clear();
-        BASELINE_REGISTRY.lock().remove(&self.host_id);
     }
 }
 
@@ -439,24 +432,6 @@ impl HttpRouter for BaselineHost {
                 return CallResult::error(id, "platform shutting down");
             }
         }
-    }
-}
-
-static BASELINE_REGISTRY: BaselineSelfRegistry = BaselineSelfRegistry::new();
-
-struct BaselineSelfRegistry {
-    inner: std::sync::OnceLock<Mutex<HashMap<HostId, std::sync::Weak<BaselineHost>>>>,
-}
-
-impl BaselineSelfRegistry {
-    const fn new() -> BaselineSelfRegistry {
-        BaselineSelfRegistry {
-            inner: std::sync::OnceLock::new(),
-        }
-    }
-
-    fn lock(&self) -> parking_lot::MutexGuard<'_, HashMap<HostId, std::sync::Weak<BaselineHost>>> {
-        self.inner.get_or_init(|| Mutex::new(HashMap::new())).lock()
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -160,6 +160,9 @@ pub struct FaasmInstance {
     shutdown_gate: RwLock<()>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     config: InstanceConfig,
+    /// Weak self-handle, so `&self` trait methods (`await_call`) can reach
+    /// the `Arc<Self>`-requiring execute path without a cycle.
+    me: Weak<FaasmInstance>,
 }
 
 impl std::fmt::Debug for FaasmInstance {
@@ -209,7 +212,7 @@ impl FaasmInstance {
         let warm = WarmSets::new(Arc::clone(&kv));
         let (queue_tx, queue_rx) = unbounded();
         let (prestage_tx, prestage_rx) = unbounded();
-        let instance = Arc::new(FaasmInstance {
+        let instance = Arc::new_cyclic(|me| FaasmInstance {
             host_id: nic.id(),
             nic,
             kv,
@@ -239,6 +242,7 @@ impl FaasmInstance {
             shutdown_gate: RwLock::new(()),
             threads: Mutex::new(Vec::new()),
             config,
+            me: me.clone(),
         });
 
         // Message bus.
@@ -270,7 +274,6 @@ impl FaasmInstance {
                 .expect("spawn worker thread");
             instance.threads.lock().push(handle);
         }
-        instance.register_self();
         instance
     }
 
@@ -1090,7 +1093,6 @@ impl FaasmInstance {
         }
         // Break the Arc cycle (pool faaslets hold the instance as router).
         self.pool.lock().clear();
-        SELF_REGISTRY.lock().remove(&self.host_id);
     }
 }
 
@@ -1152,19 +1154,8 @@ impl ChainRouter for FaasmInstance {
 }
 
 impl FaasmInstance {
-    /// A weak-self registry so `await_call` (a `&self` trait method) can
-    /// reach the `Arc<Self>`-requiring execute path.
     fn self_arc(&self) -> Option<Arc<FaasmInstance>> {
-        SELF_REGISTRY
-            .lock()
-            .get(&self.host_id)
-            .and_then(std::sync::Weak::upgrade)
-    }
-
-    pub(crate) fn register_self(self: &Arc<Self>) {
-        SELF_REGISTRY
-            .lock()
-            .insert(self.host_id, Arc::downgrade(self));
+        self.me.upgrade()
     }
 }
 
@@ -1218,32 +1209,4 @@ impl Drop for FlightGuard<'_> {
 fn worker_recorder() -> &'static Arc<faasm_telemetry::Recorder> {
     static REC: std::sync::OnceLock<Arc<faasm_telemetry::Recorder>> = std::sync::OnceLock::new();
     REC.get_or_init(|| faasm_telemetry::tier("worker"))
-}
-
-static SELF_REGISTRY: once_registry::SelfRegistry = once_registry::SelfRegistry::new();
-
-mod once_registry {
-    use super::{FaasmInstance, HostId};
-    use parking_lot::Mutex;
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, Weak};
-
-    /// Lazily-initialised weak-self registry (HashMap::new is not const).
-    pub(super) struct SelfRegistry {
-        inner: OnceLock<Mutex<HashMap<HostId, Weak<FaasmInstance>>>>,
-    }
-
-    impl SelfRegistry {
-        pub(super) const fn new() -> SelfRegistry {
-            SelfRegistry {
-                inner: OnceLock::new(),
-            }
-        }
-
-        pub(super) fn lock(
-            &self,
-        ) -> parking_lot::MutexGuard<'_, HashMap<HostId, Weak<FaasmInstance>>> {
-            self.inner.get_or_init(|| Mutex::new(HashMap::new())).lock()
-        }
-    }
 }

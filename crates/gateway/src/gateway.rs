@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use faasm_core::{Cluster, FaasmInstance, GatewayMetrics, PendingMap, PlacedCall};
 use faasm_net::TokenBucket;
+use faasm_sched::affinity_bonus;
 use faasm_telemetry::{Recorder, SpanKind, TraceCtx};
 use parking_lot::{Condvar, Mutex};
 
@@ -43,12 +44,12 @@ pub struct GatewayConfig {
     /// means `dispatchers × max_batch`.
     pub max_inflight: usize,
     /// Target dispatch delay (time a job may stand in the queue before
-    /// dispatch — CoDel's sojourn-time target) for the admission
-    /// back-pressure loop. When the measured EWMA stands above this,
-    /// effective per-tenant queue caps shrink multiplicatively
-    /// (CoDel-lite: shed at admission instead of queueing work the
-    /// cluster cannot serve in time); when it drops below half the
-    /// target — or the gateway fully drains — caps grow back additively.
+    /// dispatch — CoDel's sojourn-time target). A submit is shed
+    /// `Overloaded` at admission when its tenant's oldest queued job has
+    /// already waited longer than this: that tenant's queue is standing,
+    /// so new work would only wait behind it. The rule is per tenant and
+    /// keeps no state, so one tenant's backlog never sheds another's calls
+    /// and admission reopens as soon as the head of the queue moves.
     pub target_dispatch_latency: Duration,
 }
 
@@ -67,19 +68,6 @@ impl Default for GatewayConfig {
         }
     }
 }
-
-/// Admission cap scale denominator: a scale of `CAP_SCALE_ONE` applies
-/// tenants' configured queue caps unchanged.
-const CAP_SCALE_ONE: u64 = 1024;
-
-/// Floor for the AIMD shrink: caps never fall below 1/16 of configured.
-const CAP_SCALE_MIN: u64 = CAP_SCALE_ONE / 16;
-
-/// Additive step per adjustment tick on recovery.
-const CAP_SCALE_STEP: u64 = CAP_SCALE_ONE / 32;
-
-/// How often the AIMD loop re-evaluates the EWMA.
-const ADJUST_EVERY: Duration = Duration::from_millis(10);
 
 /// The gateway tier's flight recorder, fetched once: `tier()` takes a
 /// registry lock, which the admission path must not pay per request.
@@ -130,16 +118,6 @@ struct Inner {
     /// dispatch path.
     inflight: Mutex<usize>,
     inflight_cv: Condvar,
-    /// EWMA of measured dispatch delay in nanoseconds (0 = no samples):
-    /// how long each dispatched job stood in the queue — CoDel's sojourn
-    /// time, fed on every dispatch.
-    dispatch_ewma_ns: AtomicU64,
-    /// Effective per-tenant queue-cap scale in 1/[`CAP_SCALE_ONE`]ths,
-    /// driven by the AIMD loop over the EWMA.
-    cap_scale: AtomicU64,
-    /// When the AIMD loop last adjusted (rate-limits adjustments so one
-    /// standing-delay episode shrinks caps geometrically, not per sample).
-    last_adjust: Mutex<Instant>,
 }
 
 /// The cluster's ingress tier.
@@ -179,9 +157,6 @@ impl Gateway {
             stop: AtomicBool::new(false),
             inflight: Mutex::new(0),
             inflight_cv: Condvar::new(),
-            dispatch_ewma_ns: AtomicU64::new(0),
-            cap_scale: AtomicU64::new(CAP_SCALE_ONE),
-            last_adjust: Mutex::new(Instant::now()),
         });
         let mut threads = Vec::new();
         for d in 0..inner.config.dispatchers.max(1) {
@@ -230,18 +205,6 @@ impl Gateway {
     /// The cluster behind this gateway.
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.inner.cluster
-    }
-
-    /// The measured dispatch-delay EWMA — time jobs stand in the queue
-    /// before dispatch (zero before any job has been dispatched).
-    pub fn dispatch_latency_ewma(&self) -> Duration {
-        Duration::from_nanos(self.inner.dispatch_ewma_ns.load(Ordering::Relaxed))
-    }
-
-    /// The current admission cap scale in `(0, 1]`: the fraction of each
-    /// tenant's configured queue cap the back-pressure loop is admitting.
-    pub fn admission_cap_scale(&self) -> f64 {
-        self.inner.cap_scale.load(Ordering::Relaxed) as f64 / CAP_SCALE_ONE as f64
     }
 
     /// Submit a request with the default queueing deadline; returns a
@@ -453,11 +416,10 @@ impl Inner {
                 .fulfill(seq, GatewayResponse::overloaded(seq));
             return seq;
         }
-        // Admission gate 2: the tenant's bounded pending queue, scaled by
-        // the dispatch-latency back-pressure loop — under standing delay
-        // the gateway sheds here, at admission, instead of queueing work
-        // the cluster cannot serve before it expires.
-        let queue_cap = self.effective_queue_cap(policy.queue_cap);
+        // Admission gate 2: the tenant's bounded pending queue, which also
+        // refuses work while its head has stood past the sojourn target —
+        // under standing delay the gateway sheds here, at admission,
+        // instead of queueing work the cluster cannot serve in time.
         let now = Instant::now();
         let job = Job {
             seq,
@@ -468,7 +430,12 @@ impl Inner {
             deadline: now + deadline,
             trace,
         };
-        match self.queue.push(job, policy.weight, queue_cap) {
+        match self.queue.push(
+            job,
+            policy.weight,
+            policy.queue_cap,
+            self.config.target_dispatch_latency,
+        ) {
             Ok(()) => {
                 self.metrics.record_admitted();
                 gw_recorder().span(SpanKind::Admission, trace, admit_start_ns, seq);
@@ -545,11 +512,12 @@ impl Inner {
         let hosts: Vec<faasm_net::HostId> = instances.iter().map(|i| i.host_id()).collect();
         let affinity = self.cluster.boards().affinities(tenant, function, &hosts);
         let affinity_of = |h: faasm_net::HostId| -> i64 {
-            let score = affinity
-                .iter()
-                .find(|(p, _)| *p == h)
-                .map_or(0, |(_, a)| *a);
-            (64 - score.leading_zeros()) as i64
+            affinity_bonus(
+                affinity
+                    .iter()
+                    .find(|(p, _)| *p == h)
+                    .map_or(0, |(_, a)| *a),
+            )
         };
         let start = self.rotation.fetch_add(1, Ordering::Relaxed);
         let mut best: Option<(i64, &Arc<FaasmInstance>)> = None;
@@ -563,75 +531,6 @@ impl Inner {
             }
         }
         Arc::clone(best.expect("cluster has at least one instance").1)
-    }
-
-    /// A tenant's queue cap under the current back-pressure scale (never
-    /// below 1 — a tenant with any cap at all can always queue one job).
-    fn effective_queue_cap(&self, configured: usize) -> usize {
-        let scale = self.cap_scale.load(Ordering::Relaxed);
-        if scale >= CAP_SCALE_ONE || configured == 0 {
-            return configured;
-        }
-        ((configured as u64 * scale / CAP_SCALE_ONE) as usize).max(1)
-    }
-
-    /// Fold one measured dispatch delay (job enqueue → batch dispatch,
-    /// CoDel's sojourn time) into the EWMA. Racy read-modify-write by
-    /// design: samples arrive from several dispatchers and the control
-    /// loop only needs the trend, not an exact fold order.
-    fn record_dispatch_delay(&self, ns: u64) {
-        let old = self.dispatch_ewma_ns.load(Ordering::Relaxed);
-        let next = if old == 0 { ns } else { (old * 7 + ns) / 8 };
-        self.dispatch_ewma_ns.store(next, Ordering::Relaxed);
-    }
-
-    /// The AIMD control loop (CoDel-lite), run on the dispatcher cadence:
-    /// standing delay above target shrinks the admission cap scale
-    /// multiplicatively; delay below half the target grows it back
-    /// additively. A fully drained gateway (empty queue, nothing in
-    /// flight) decays the EWMA so caps recover after a burst ends even
-    /// though no new completions arrive to pull the average down.
-    fn adjust_admission(&self) {
-        {
-            let mut last = self.last_adjust.lock();
-            let now = Instant::now();
-            if now.duration_since(*last) < ADJUST_EVERY {
-                return;
-            }
-            *last = now;
-        }
-        let drained = self.queue.is_empty() && *self.inflight.lock() == 0;
-        let mut ewma = self.dispatch_ewma_ns.load(Ordering::Relaxed);
-        if drained && ewma > 0 {
-            ewma = ewma * 3 / 4;
-            self.dispatch_ewma_ns.store(ewma, Ordering::Relaxed);
-        }
-        if ewma == 0 {
-            return;
-        }
-        let target = self.config.target_dispatch_latency.as_nanos() as u64;
-        let scale = self.cap_scale.load(Ordering::Relaxed);
-        if ewma > target && !drained {
-            // Multiplicative decrease only under *standing* delay: a high
-            // EWMA with nothing queued or in flight is a memory of the
-            // last burst, not congestion — decaying it (above) is enough.
-            let next = (scale * 3 / 4).max(CAP_SCALE_MIN);
-            self.cap_scale.store(next, Ordering::Relaxed);
-            if next < scale {
-                // A shed burst is an anomaly worth a flight-recorder dump:
-                // the spans leading into it show which tenants' sojourn
-                // times pushed the EWMA over target.
-                gw_recorder().note_anomaly(&format!(
-                    "admission cap shrink to {next}/{CAP_SCALE_ONE} (dispatch ewma {} us over target)",
-                    ewma / 1_000,
-                ));
-            }
-        } else if ewma < target / 2 {
-            self.cap_scale.store(
-                (scale + CAP_SCALE_STEP).min(CAP_SCALE_ONE),
-                Ordering::Relaxed,
-            );
-        }
     }
 
     /// Effective in-flight cap (`0` in config means dispatchers × batch).
@@ -701,7 +600,6 @@ impl Inner {
         let cap = self.max_inflight();
         while !self.stop.load(Ordering::Relaxed) {
             self.shed_expired_jobs();
-            self.adjust_admission();
             let granted = self.reserve_inflight(self.config.max_batch.max(1), cap);
             if granted == 0 {
                 // Saturated: no draining, but keep polling the deadline
@@ -746,11 +644,6 @@ impl Inner {
                     faasm_telemetry::now_ns().saturating_sub(queued_ns),
                     0,
                 );
-                // The admission back-pressure signal is CoDel's sojourn
-                // time — how long the job stood in the queue before
-                // dispatch — NOT service time: a merely slow function on
-                // an idle cluster must not shrink anyone's caps.
-                self.record_dispatch_delay(queued_ns);
                 let inst = self.pick_instance(&job.tenant, &job.function);
                 groups
                     .entry(inst.host_id())

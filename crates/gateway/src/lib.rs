@@ -10,7 +10,8 @@
 //!                      │   │             │                  │
 //!                      ▼   ▼             ▼                  ▼
 //!               rate limit  bounded   deadline shed    warm-host +
-//!               (Overloaded) queue    (Expired)        queue-depth placement
+//!               (Overloaded) queue +  (Expired)        queue-depth placement
+//!                           sojourn
 //!                           (Overloaded)
 //! ```
 //!
@@ -25,8 +26,10 @@
 //!   over one connection.
 //! * **Admission control** ([`TenantPolicy`], [`queue`]): per-tenant
 //!   token-bucket rate limiting (a request-unit [`faasm_net::TokenBucket`])
-//!   and bounded pending queues. Rejections are explicit —
-//!   [`GatewayStatus::Overloaded`] for rate/queue sheds,
+//!   and bounded pending queues that also refuse work while the tenant's
+//!   queue head has waited past [`GatewayConfig::target_dispatch_latency`]
+//!   (a stateless, per-tenant sojourn gate). Rejections are explicit —
+//!   [`GatewayStatus::Overloaded`] for rate/queue/sojourn sheds,
 //!   [`GatewayStatus::Expired`] for requests whose deadline passed while
 //!   queued — never a hang.
 //! * **Batching dispatcher** ([`Gateway`]): drains the queue in weighted

@@ -85,8 +85,12 @@ impl FairQueue {
     }
 
     /// Enqueue a job under its tenant's bounded FIFO. Returns the job back
-    /// when the tenant already has `queue_cap` requests pending (the caller
-    /// sheds it with `Overloaded`).
+    /// (the caller sheds it with `Overloaded`) when the tenant already has
+    /// `queue_cap` requests pending, or when the tenant's oldest queued job
+    /// has stood longer than `max_sojourn` — CoDel's sojourn signal, read
+    /// per tenant and without control state: a standing queue sheds only
+    /// its own tenant's arrivals, and admission reopens as soon as the head
+    /// of that queue moves.
     ///
     /// # Errors
     ///
@@ -94,7 +98,13 @@ impl FairQueue {
     // The Err payload IS the job handed back to the caller for shedding —
     // a Box would just make the accept path pay the allocation instead.
     #[allow(clippy::result_large_err)]
-    pub fn push(&self, job: Job, weight: u32, queue_cap: usize) -> Result<(), Job> {
+    pub fn push(
+        &self,
+        job: Job,
+        weight: u32,
+        queue_cap: usize,
+        max_sojourn: Duration,
+    ) -> Result<(), Job> {
         let mut inner = self.inner.lock();
         // Decide admission before touching any state: a rejected push must
         // leave no trace. (The old order appended the tenant to the DRR
@@ -103,6 +113,13 @@ impl FairQueue {
         // pass until the next drain's GC.)
         match inner.queues.get(&job.tenant) {
             Some(q) if q.jobs.len() >= queue_cap => return Err(job),
+            Some(q)
+                if q.jobs.front().is_some_and(|head| {
+                    job.enqueued.saturating_duration_since(head.enqueued) > max_sojourn
+                }) =>
+            {
+                return Err(job)
+            }
             Some(_) => {}
             None if queue_cap == 0 => return Err(job),
             None => inner.order.push(job.tenant.clone()),
@@ -291,6 +308,9 @@ mod tests {
         }
     }
 
+    /// A sojourn bound no test job ever reaches.
+    const LONG: Duration = Duration::from_secs(3600);
+
     fn drain(q: &FairQueue, max: usize) -> Vec<Job> {
         q.drain_batch(max, Duration::from_millis(5), &AtomicBool::new(false))
     }
@@ -298,25 +318,25 @@ mod tests {
     #[test]
     fn bounded_queue_rejects_overflow() {
         let q = FairQueue::new();
-        q.push(job("a", 1), 1, 2).unwrap();
-        q.push(job("a", 2), 1, 2).unwrap();
-        let back = q.push(job("a", 3), 1, 2).unwrap_err();
+        q.push(job("a", 1), 1, 2, LONG).unwrap();
+        q.push(job("a", 2), 1, 2, LONG).unwrap();
+        let back = q.push(job("a", 3), 1, 2, LONG).unwrap_err();
         assert_eq!(back.seq, 3);
         assert_eq!(q.tenant_depth("a"), 2);
         // Another tenant's queue is unaffected.
-        q.push(job("b", 4), 1, 2).unwrap();
+        q.push(job("b", 4), 1, 2, LONG).unwrap();
         assert_eq!(q.len(), 3);
     }
 
     #[test]
     fn rejected_push_leaves_no_state_behind() {
         let q = FairQueue::new();
-        q.push(job("real", 1), 1, 8).unwrap();
+        q.push(job("real", 1), 1, 8, LONG).unwrap();
         // A flood of zero-cap submits under unique tenant names: none may
         // enter the rotation or allocate an (empty) queue.
         for i in 0..1000 {
             let name = format!("ghost{i}");
-            let back = q.push(job(&name, i), 1, 0).unwrap_err();
+            let back = q.push(job(&name, i), 1, 0, LONG).unwrap_err();
             assert_eq!(back.seq, i);
             assert_eq!(q.tenant_depth(&name), 0);
         }
@@ -324,8 +344,8 @@ mod tests {
         assert_eq!(q.len(), 1);
         // Over-cap rejections on an existing tenant also leave it intact.
         let q2 = FairQueue::new();
-        q2.push(job("a", 1), 1, 1).unwrap();
-        q2.push(job("a", 2), 1, 1).unwrap_err();
+        q2.push(job("a", 1), 1, 1, LONG).unwrap();
+        q2.push(job("a", 2), 1, 1, LONG).unwrap_err();
         assert_eq!(q2.tenant_count(), 1);
         assert_eq!(q2.tenant_depth("a"), 1);
         // The admitted job still drains normally.
@@ -336,12 +356,40 @@ mod tests {
     }
 
     #[test]
+    fn stale_head_sheds_only_its_own_tenant() {
+        let q = FairQueue::new();
+        let max_sojourn = Duration::from_millis(25);
+        let mut stale = job("a", 1);
+        stale.enqueued = Instant::now() - Duration::from_millis(50);
+        q.push(stale, 1, 8, max_sojourn).unwrap();
+        // Well under the cap, but the head has stood past the bound.
+        let back = q.push(job("a", 2), 1, 8, max_sojourn).unwrap_err();
+        assert_eq!(back.seq, 2);
+        assert_eq!(q.tenant_depth("a"), 1);
+        assert_eq!(
+            q.tenant_count(),
+            1,
+            "the rejected push added no rotation entry"
+        );
+        assert_eq!(q.backlog().get(&("a".into(), "f".into())), Some(&1));
+        // Another tenant's fresh queue admits as usual.
+        q.push(job("b", 3), 1, 8, max_sojourn).unwrap();
+        assert_eq!(q.tenant_count(), 2);
+        // Once the stale head leaves, the tenant is admitted again: the
+        // gate keeps no state of its own.
+        let batch = drain(&q, 1);
+        assert_eq!(batch[0].seq, 1);
+        q.push(job("a", 4), 1, 8, max_sojourn).unwrap();
+        assert_eq!(q.tenant_depth("a"), 1);
+    }
+
+    #[test]
     fn equal_weights_interleave_tenants() {
         let q = FairQueue::new();
         for i in 0..6 {
-            q.push(job("flood", i), 1, 100).unwrap();
+            q.push(job("flood", i), 1, 100, LONG).unwrap();
         }
-        q.push(job("quiet", 100), 1, 100).unwrap();
+        q.push(job("quiet", 100), 1, 100, LONG).unwrap();
         let batch = drain(&q, 4);
         let tenants: Vec<&str> = batch.iter().map(|j| j.tenant.as_str()).collect();
         assert!(
@@ -354,8 +402,8 @@ mod tests {
     fn weights_bias_the_drain() {
         let q = FairQueue::new();
         for i in 0..40 {
-            q.push(job("heavy", i), 3, 100).unwrap();
-            q.push(job("light", 100 + i), 1, 100).unwrap();
+            q.push(job("heavy", i), 3, 100, LONG).unwrap();
+            q.push(job("light", 100 + i), 1, 100, LONG).unwrap();
         }
         let batch = drain(&q, 16);
         let heavy = batch.iter().filter(|j| j.tenant == "heavy").count();
@@ -371,7 +419,7 @@ mod tests {
     fn fifo_within_a_tenant() {
         let q = FairQueue::new();
         for i in 0..10 {
-            q.push(job("t", i), 1, 100).unwrap();
+            q.push(job("t", i), 1, 100, LONG).unwrap();
         }
         let batch = drain(&q, 10);
         let seqs: Vec<u64> = batch.iter().map(|j| j.seq).collect();
@@ -383,11 +431,11 @@ mod tests {
         let q = FairQueue::new();
         let mut doomed = job("a", 1);
         doomed.deadline = Instant::now() - Duration::from_millis(1);
-        q.push(doomed, 1, 10).unwrap();
-        q.push(job("a", 2), 1, 10).unwrap();
+        q.push(doomed, 1, 10, LONG).unwrap();
+        q.push(job("a", 2), 1, 10, LONG).unwrap();
         let mut doomed_b = job("b", 3);
         doomed_b.deadline = Instant::now() - Duration::from_millis(1);
-        q.push(doomed_b, 1, 10).unwrap();
+        q.push(doomed_b, 1, 10, LONG).unwrap();
 
         let shed = q.shed_expired(Instant::now());
         let mut seqs: Vec<u64> = shed.iter().map(|j| j.seq).collect();
@@ -401,7 +449,7 @@ mod tests {
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].seq, 2);
         // Nothing expired: the fast path sheds nothing.
-        q.push(job("a", 9), 1, 10).unwrap();
+        q.push(job("a", 9), 1, 10, LONG).unwrap();
         assert!(q.shed_expired(Instant::now()).is_empty());
         assert_eq!(q.len(), 1);
     }
@@ -410,16 +458,16 @@ mod tests {
     fn backlog_counts_track_push_drain_and_shed() {
         let q = FairQueue::new();
         for i in 0..5 {
-            q.push(job("a", i), 1, 10).unwrap();
+            q.push(job("a", i), 1, 10, LONG).unwrap();
         }
         let mut doomed = job("b", 9);
         doomed.deadline = Instant::now() - Duration::from_millis(1);
-        q.push(doomed, 1, 10).unwrap();
+        q.push(doomed, 1, 10, LONG).unwrap();
         let backlog = q.backlog();
         assert_eq!(backlog.get(&("a".into(), "f".into())), Some(&5));
         assert_eq!(backlog.get(&("b".into(), "f".into())), Some(&1));
         // Rejected pushes leave no count behind.
-        q.push(job("ghost", 99), 1, 0).unwrap_err();
+        q.push(job("ghost", 99), 1, 0, LONG).unwrap_err();
         assert!(!q.backlog().contains_key(&("ghost".into(), "f".into())));
         // Sheds and drains decrement; emptied functions drop their entry.
         q.shed_expired(Instant::now());

@@ -59,8 +59,9 @@ pub struct Decision<'a> {
 }
 
 /// Log-scale an affinity score so raw hit counts cannot starve load
-/// balancing: 0 → 0, else `⌊log2⌋ + 1` (bounded by 64).
-fn affinity_bonus(score: u64) -> i64 {
+/// balancing: 0 → 0, else `⌊log2⌋ + 1` (bounded by 64). Shared with the
+/// gateway's placement so both tiers weigh cache warmth identically.
+pub fn affinity_bonus(score: u64) -> i64 {
     (64 - score.leading_zeros()) as i64
 }
 

@@ -19,7 +19,7 @@ pub mod types;
 pub mod warm;
 
 pub use boards::SchedBoards;
-pub use decide::{decide, Decision, Placement};
+pub use decide::{affinity_bonus, decide, Decision, Placement};
 pub use queue::SharingQueue;
 pub use rr::RoundRobin;
 pub use types::{

@@ -265,17 +265,14 @@ fn expired_shed_is_prompt_while_dispatchers_are_saturated() {
     }
 }
 
-/// The dispatch-latency back-pressure loop: under saturation the measured
-/// EWMA stands above target, the effective per-tenant queue caps shrink
-/// (AIMD multiplicative decrease) and load is shed `Overloaded` **at
-/// admission** instead of queueing work the cluster cannot serve; once the
-/// gateway drains, the caps grow back.
-#[test]
-fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
-    let cluster = Arc::new(Cluster::new(1));
-    cluster.register_native("alice", "crawl", very_slow_guest(25), false);
-    let gateway = Gateway::start(
-        Arc::clone(&cluster),
+/// A gateway whose dispatcher serves 25 ms calls four at a time while
+/// submits are shed once a tenant's queue head has stood past 2 ms.
+fn sojourn_gated_gateway(cluster: &Arc<Cluster>) -> Gateway {
+    for tenant in ["alice", "bob"] {
+        cluster.register_native(tenant, "crawl", very_slow_guest(25), false);
+    }
+    Gateway::start(
+        Arc::clone(cluster),
         GatewayConfig {
             dispatchers: 1,
             max_batch: 4,
@@ -284,45 +281,28 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
             // the queue far beyond the 2 ms sojourn target by design.
             target_dispatch_latency: Duration::from_millis(2),
             // Deadlines long enough that nothing sheds as Expired — every
-            // shed in this test is the admission loop's doing.
+            // shed in these tests is the sojourn gate's doing.
             default_deadline: Duration::from_secs(60),
             autoscale: None,
             ..GatewayConfig::default()
         },
-    );
-    assert_eq!(gateway.admission_cap_scale(), 1.0, "caps start unscaled");
+    )
+}
 
-    // A paced flood: slow enough that the configured cap of 256 would
-    // never fill on its own, fast enough to keep the dispatcher saturated.
+/// Submit `alice`'s paced flood for `span`: slow enough that the
+/// configured cap of 256 would never fill on its own, fast enough to keep
+/// the dispatcher saturated.
+fn paced_flood(gateway: &Gateway, span: Duration) -> Vec<u64> {
     let mut tickets = Vec::new();
     let t0 = std::time::Instant::now();
-    while t0.elapsed() < Duration::from_millis(1200) {
+    while t0.elapsed() < span {
         tickets.push(gateway.submit("alice", "crawl", Vec::new()));
         std::thread::sleep(Duration::from_millis(2));
     }
-    let scale_under_load = gateway.admission_cap_scale();
-    let queued_under_load = gateway.queue_len();
-    let sheds = gateway.metrics().shed_overloaded();
-    assert!(
-        scale_under_load < 1.0,
-        "standing delay must shrink the cap scale, still at {scale_under_load}"
-    );
-    assert!(
-        gateway.dispatch_latency_ewma() > Duration::from_millis(2),
-        "the EWMA has seen the standing queue"
-    );
-    assert!(
-        sheds > 0,
-        "saturation must shed Overloaded at admission (scale {scale_under_load})"
-    );
-    assert!(
-        queued_under_load < 64,
-        "load is shed at admission, not queued: {queued_under_load} queued \
-         against a configured cap of 256"
-    );
+    tickets
+}
 
-    // Drain, then the loop grows the caps back (the drained gateway decays
-    // the EWMA below target/2 even with no fresh completions).
+fn wait_ok_or_shed(gateway: &Gateway, tickets: Vec<u64>) {
     for t in tickets {
         let r = gateway.wait(t);
         assert!(
@@ -331,16 +311,71 @@ fn standing_dispatch_delay_shrinks_admission_caps_then_recovers() {
             r.status
         );
     }
-    let trough = gateway.admission_cap_scale();
-    let recovered = (0..200).find_map(|_| {
-        std::thread::sleep(Duration::from_millis(10));
-        let s = gateway.admission_cap_scale();
-        (s > trough).then_some(s)
-    });
+}
+
+/// The sojourn gate: under saturation a tenant's queue head stands past
+/// the target and further submits are shed `Overloaded` **at admission**
+/// instead of queueing work the cluster cannot serve. The gate keeps no
+/// state, so once the flood drains a burst is admitted whole — the old
+/// EWMA/AIMD loop left caps stuck at 1/16 here and shed 12 of these 32.
+#[test]
+fn standing_queue_sheds_at_admission_and_a_burst_after_drain_is_admitted_whole() {
+    let cluster = Arc::new(Cluster::new(1));
+    let gateway = sojourn_gated_gateway(&cluster);
+
+    let tickets = paced_flood(&gateway, Duration::from_millis(1200));
+    let queued_under_load = gateway.queue_len();
+    let sheds = gateway.metrics().shed_overloaded();
+    assert!(sheds > 0, "saturation must shed Overloaded at admission");
     assert!(
-        recovered.is_some(),
-        "caps must grow back on drain (stuck at {trough})"
+        queued_under_load < 64,
+        "load is shed at admission, not queued: {queued_under_load} queued \
+         against a configured cap of 256"
     );
+    wait_ok_or_shed(&gateway, tickets);
+
+    let burst: Vec<u64> = (0..32u8)
+        .map(|i| gateway.submit("alice", "crawl", vec![i]))
+        .collect();
+    for t in burst {
+        let r = gateway.wait(t);
+        assert_eq!(
+            r.status,
+            GatewayStatus::Ok,
+            "a burst after the flood drained must be admitted whole"
+        );
+    }
+    assert_eq!(
+        gateway.metrics().shed_overloaded(),
+        sheds,
+        "no shed after the drain"
+    );
+}
+
+/// Admission is per tenant: while alice's queue stands behind slow work and
+/// her submits are shed, bob's burst is admitted whole. (The old global
+/// EWMA shrank every tenant's cap, so alice's backlog shed bob's calls.)
+#[test]
+fn one_tenants_standing_queue_does_not_shed_another_tenant() {
+    let cluster = Arc::new(Cluster::new(1));
+    let gateway = sojourn_gated_gateway(&cluster);
+
+    let flood = paced_flood(&gateway, Duration::from_millis(600));
+    assert!(
+        gateway.metrics().shed_overloaded() > 0,
+        "alice's queue must be standing when bob arrives"
+    );
+    let burst: Vec<u64> = (0..32u8)
+        .map(|i| gateway.submit("bob", "crawl", vec![i]))
+        .collect();
+    for t in burst {
+        assert_eq!(
+            gateway.wait(t).status,
+            GatewayStatus::Ok,
+            "alice's standing queue must not shed bob"
+        );
+    }
+    wait_ok_or_shed(&gateway, flood);
 }
 
 /// A submit that passes the token bucket but is shed `Overloaded` at the
